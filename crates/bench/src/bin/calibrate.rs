@@ -17,16 +17,15 @@
 //!   transport is written as `BENCH_<transport>.json` next to `<path>`.
 
 use fm_bench::{
-    block_hosts, crossover_bytes, fm1_latency, fm1_latency_dist, fm1_stream, fm2_latency,
-    fm2_latency_dist, fm2_stream, fm2_stream_dist, latency_table, mpi_latency, mpi_stream,
-    put_crossover, routed_coll_latency_us, shm_allreduce_latency_us, shm_barrier_latency_us,
-    shm_latency_dist, shm_put_stream, shm_stream_dist, sim_allreduce_latency, sim_barrier_latency,
-    sim_bcast_latency, sim_put_stream, sim_workload_dist, size_bandwidth_table, stream_count,
-    udp_allreduce_latency_us, udp_barrier_latency_us, udp_churn_dist, udp_latency_dist,
-    udp_put_stream, udp_stream_dist, udp_workload_dist, BenchReport, CrossoverRow, Fm1Stage,
-    MpiBinding, WorkloadDist,
+    block_hosts, coll_latency_us, crossover_bytes, fm1_latency, fm1_latency_dist, fm1_stream,
+    fm2_latency, fm2_latency_dist, fm2_stream, fm2_stream_dist, latency_dist, latency_table,
+    lossy_udp, mpi_latency, mpi_stream, put_crossover, put_stream, sim_allreduce_latency,
+    sim_barrier_latency, sim_bcast_latency, sim_put_stream, sim_workload_dist,
+    size_bandwidth_table, stream_count, stream_dist, udp_churn_dist, workload_dist, BenchReport,
+    CrossoverRow, Fm1Stage, MpiBinding, Substrate, WorkloadDist, SHM_DEPTH, SHM_STREAM_DEPTH,
 };
 use fm_core::obs::SizeHistograms;
+use fm_core::RetransmitConfig;
 use fm_model::halfpower::{half_power_point, peak, BandwidthPoint};
 use fm_model::workload::{Shape, WorkloadSpec};
 use fm_model::MachineProfile;
@@ -343,12 +342,13 @@ fn calibrate_udp() -> BenchReport {
     let sizes: Vec<usize> = (4..=11).map(|p| 1usize << p).collect();
     println!();
     println!("--- UDP loopback (wall clock, this machine, FM2 + Retransmit) ---");
+    let udp = Substrate::udp();
 
     let mut size_classes = Vec::new();
     let mut by_size = SizeHistograms::new();
     let mut pts = Vec::new();
     for &s in &sizes {
-        let d = udp_stream_dist(s, stream_count(s), 0.0);
+        let d = stream_dist(&udp, s, stream_count(s));
         by_size.merge_class(s as u64, &d.per_message_kbps);
         pts.push(d.result.point(s));
         size_classes.push((s, d.result.bandwidth().as_mbps(), d.per_message_kbps));
@@ -358,7 +358,7 @@ fn calibrate_udp() -> BenchReport {
         println!("{:>8} {:>9.2} MB/s", s, p.bandwidth.as_mbps());
     }
 
-    let lat = udp_latency_dist(16, 1_000, 0.0);
+    let lat = latency_dist(&udp, 16, 1_000);
     println!();
     latency_table(&[("UDP-FM2 16B one-way", lat.mean, &lat.one_way_ns)]);
     println!();
@@ -366,8 +366,8 @@ fn calibrate_udp() -> BenchReport {
 
     // Collectives over the real loopback transport (4 OS processes'
     // worth of stack on this machine).
-    let bar4 = udp_barrier_latency_us(4, 64);
-    let ar4 = udp_allreduce_latency_us(4, 16, 64);
+    let bar4 = coll_latency_us(&udp, 4, 64, None, false);
+    let ar4 = coll_latency_us(&udp, 4, 64, Some(16), false);
     println!();
     println!("barrier n=4                        {bar4:>9.1} us");
     println!("allreduce n=4 16B                  {ar4:>9.1} us");
@@ -391,11 +391,14 @@ fn calibrate_udp() -> BenchReport {
     // Mixed-locality routed collectives: 8 ranks as 4 per host on 2
     // simulated hosts (shm within, loopback UDP across), flat schedule
     // vs the locality-aware two-level one — same transport both runs.
-    let hosts = block_hosts(2, 4);
-    let bar_flat = routed_coll_latency_us(&hosts, 64, None, false);
-    let bar_hier = routed_coll_latency_us(&hosts, 64, None, true);
-    let ar_flat = routed_coll_latency_us(&hosts, 64, Some(16), false);
-    let ar_hier = routed_coll_latency_us(&hosts, 64, Some(16), true);
+    let routed = Substrate::Routed {
+        hosts: block_hosts(2, 4),
+        retransmit: RetransmitConfig::adaptive(),
+    };
+    let bar_flat = coll_latency_us(&routed, 8, 64, None, false);
+    let bar_hier = coll_latency_us(&routed, 8, 64, None, true);
+    let ar_flat = coll_latency_us(&routed, 8, 64, Some(16), false);
+    let ar_hier = coll_latency_us(&routed, 8, 64, Some(16), true);
     println!();
     println!("--- routed collectives (8 ranks = 4/host x 2 hosts, shm + UDP) ---");
     println!("barrier n=8 flat                   {bar_flat:>9.1} us");
@@ -441,14 +444,18 @@ fn calibrate_udp() -> BenchReport {
         latency: vec![("udp_fm2_16B_one_way".into(), lat.mean, lat.one_way_ns)],
         size_classes,
     };
-    workload_battery("udp", |spec| udp_workload_dist(spec, 0.01), &mut report);
+    workload_battery(
+        "udp",
+        |spec| workload_dist(&lossy_udp(0.01, spec.seed), spec),
+        &mut report,
+    );
     // Best of three trials per crossover point — loopback wall-clock
     // samples are scheduler-noisy; the least-perturbed trial is the
     // honest estimate of the transport's capability.
     let rows = put_crossover(
         |s, n, m| {
             (0..3)
-                .map(|_| udp_put_stream(s, n, m))
+                .map(|_| put_stream(&udp, s, n, m))
                 .max_by(|a, b| a.bandwidth().as_mbps().total_cmp(&b.bandwidth().as_mbps()))
                 .expect("at least one trial")
         },
@@ -468,6 +475,10 @@ fn calibrate_shm() -> BenchReport {
     let sizes: Vec<usize> = (4..=11).map(|p| 1usize << p).collect();
     println!();
     println!("--- shared memory (wall clock, this machine, FM2 + TrustSubstrate) ---");
+    let shm = Substrate::Shm { slots: SHM_DEPTH };
+    let stream_shm = Substrate::Shm {
+        slots: SHM_STREAM_DEPTH,
+    };
 
     // Each transfer is only a few MB, i.e. a few milliseconds of wall
     // clock — one scheduler preemption on a time-shared box can halve a
@@ -482,7 +493,7 @@ fn calibrate_shm() -> BenchReport {
     let mut bw_2k = 0.0;
     for &s in &sizes {
         let d = (0..TRIALS)
-            .map(|_| shm_stream_dist(s, 4 * stream_count(s)))
+            .map(|_| stream_dist(&stream_shm, s, 4 * stream_count(s)))
             .max_by(|a, b| {
                 a.result
                     .bandwidth()
@@ -503,7 +514,7 @@ fn calibrate_shm() -> BenchReport {
     }
 
     let lat = (0..TRIALS)
-        .map(|_| shm_latency_dist(16, 2_000))
+        .map(|_| latency_dist(&shm, 16, 2_000))
         .min_by_key(|d| d.mean.as_ns())
         .expect("at least one trial");
     println!();
@@ -513,10 +524,13 @@ fn calibrate_shm() -> BenchReport {
 
     // Collectives at 2, 4, and 8 co-located processes' worth of stack.
     let ns: [usize; 3] = [2, 4, 8];
-    let bar: Vec<f64> = ns.iter().map(|&n| shm_barrier_latency_us(n, 128)).collect();
+    let bar: Vec<f64> = ns
+        .iter()
+        .map(|&n| coll_latency_us(&shm, n, 128, None, false))
+        .collect();
     let ar: Vec<f64> = ns
         .iter()
-        .map(|&n| shm_allreduce_latency_us(n, 16, 128))
+        .map(|&n| coll_latency_us(&shm, n, 128, Some(16), false))
         .collect();
     println!();
     for (i, n) in ns.iter().enumerate() {
@@ -550,7 +564,7 @@ fn calibrate_shm() -> BenchReport {
     let rows = put_crossover(
         |s, n, m| {
             (0..3)
-                .map(|_| shm_put_stream(s, n, m))
+                .map(|_| put_stream(&stream_shm, s, n, m))
                 .max_by(|a, b| a.bandwidth().as_mbps().total_cmp(&b.bandwidth().as_mbps()))
                 .expect("at least one trial")
         },

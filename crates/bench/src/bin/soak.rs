@@ -16,14 +16,13 @@
 //!
 //! `--scale smoke` shrinks the battery ~100× for a quick local check.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use fm_bench::{sim_workload_dist, udp_workload_dist};
-use fm_core::{Fm2Engine, Reliability, RetransmitConfig};
+use fm_bench::{lossy_udp, sim_workload_dist, workload_dist, NodeProgram};
+use fm_core::blocking::fm2_drain_quiet;
+use fm_core::{Fm2Engine, NetDevice};
 use fm_model::workload::{Shape, WorkloadSpec};
-use fm_model::MachineProfile;
-use fm_udp::{UdpCluster, UdpConfig, UdpDevice};
-use mpi_fm::{run_shuffle, Mpi, Mpi2, ShuffleSpec};
+use mpi_fm::{run_shuffle, Mpi, Mpi2, ShuffleReport, ShuffleSpec};
 
 const DROP: f64 = 0.01;
 
@@ -116,7 +115,7 @@ fn main() {
     {
         let spec = WorkloadSpec::new(Shape::Incast, cfg.udp_ranks, cfg.udp_msgs, 64, 0x50AD);
         let t = Instant::now();
-        let d = udp_workload_dist(&spec, DROP);
+        let d = workload_dist(&lossy_udp(DROP, spec.seed), &spec);
         assert_eq!(d.lost, 0, "udp incast leaked messages");
         assert!(d.retransmissions > 0, "1% drop must force retransmits");
         total_msgs += d.delivered;
@@ -136,25 +135,8 @@ fn main() {
     // panics on any per-key ordering break or incomplete epoch.
     {
         let spec = cfg.shuffle;
-        let ucfg = UdpConfig {
-            drop_outbound: DROP,
-            drop_seed: spec.seed,
-            ..UdpConfig::default()
-        };
         let t = Instant::now();
-        let reports = UdpCluster::run(spec.ranks, ucfg, |_, dev| {
-            let fm = Fm2Engine::with_reliability(
-                dev,
-                MachineProfile::ppro200_fm2(),
-                Reliability::Retransmit(RetransmitConfig::adaptive()),
-            );
-            let mut mpi = Mpi2::new(fm);
-            let report = run_shuffle(&mut mpi, spec);
-            drain(&mut mpi);
-            let retx = mpi.fm().stats().retransmissions;
-            let errors = mpi.fm().take_errors().len();
-            (report, retx, errors)
-        });
+        let reports = lossy_udp(DROP, spec.seed).run(spec.ranks, &Shuffle(spec));
         let sent: u64 = reports.iter().map(|(r, _, _)| r.records_sent).sum();
         let received: u64 = reports.iter().map(|(r, _, _)| r.records_received).sum();
         let retx: u64 = reports.iter().map(|(_, x, _)| x).sum();
@@ -183,20 +165,19 @@ fn main() {
     );
 }
 
-/// Service acks and retransmit timers after the shuffle so a peer whose
-/// final barrier (or our ack to it) was dropped can recover; capped.
-fn drain(mpi: &mut Mpi2<UdpDevice>) {
-    let quiet_for = Duration::from_millis(100);
-    let cap = Instant::now() + Duration::from_secs(5);
-    let mut quiet_since = Instant::now();
-    while Instant::now() < cap {
-        if mpi.fm().extract_all() > 0 {
-            quiet_since = Instant::now();
-        }
-        mpi.progress();
-        if mpi.fm().unacked_packets() == 0 && quiet_since.elapsed() >= quiet_for {
-            return;
-        }
-        std::thread::yield_now();
+/// One rank of the epoch shuffle: its report, retransmissions and
+/// engine errors.
+struct Shuffle(ShuffleSpec);
+
+impl NodeProgram for Shuffle {
+    type Out = (ShuffleReport, u64, usize);
+
+    fn run<D: NetDevice + 'static>(&self, _rank: usize, fm: &Fm2Engine<D>) -> Self::Out {
+        let mut mpi = Mpi2::new(fm.clone());
+        let report = run_shuffle(&mut mpi, self.0);
+        // A peer whose final barrier (or our ack to it) was dropped
+        // needs our progress to recover.
+        fm2_drain_quiet(fm, || mpi.progress());
+        (report, fm.stats().retransmissions, fm.take_errors().len())
     }
 }

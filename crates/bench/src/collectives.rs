@@ -1,23 +1,24 @@
 //! Collective-communication probes: virtual-time latency on the
-//! simulated cluster and wall-clock latency over loopback UDP.
+//! simulated cluster and wall-clock latency on any [`Substrate`].
 //!
 //! The simulator probes drive the poll-based collective state machines
 //! (`BarrierOp`, `AllreduceOp`, `BcastOp`) from per-node step programs,
 //! so every node makes progress in lockstep virtual time — the numbers
 //! are properties of the modeled 1998 hardware and the tree/ring
-//! schedules, not of the bench machine. The UDP probes run the same
-//! collectives as blocking calls on OS threads and report real
-//! microseconds, mirroring [`crate::udp`].
+//! schedules, not of the bench machine. The wall-clock probe runs the
+//! same collectives as blocking calls on OS threads and reports real
+//! microseconds.
 
-use std::cell::Cell;
 use std::rc::Rc;
 use std::time::Instant;
 
-use fm_core::{Fm2Engine, FmPacket, Reliability, RetransmitConfig, SimDevice};
+use fm_core::blocking::fm2_drain_quiet;
+use fm_core::{Fm2Engine, FmPacket, NetDevice, SimDevice};
 use fm_model::{MachineProfile, Nanos};
-use fm_udp::{UdpCluster, UdpConfig, UdpDevice};
 use mpi_fm::{AllreduceOp, BarrierOp, BcastAlgo, BcastOp, Mpi, Mpi2, ReduceOp};
 use myrinet_sim::{NodeId, Simulation, StepOutcome, Topology};
+
+use crate::substrate::{NodeProgram, Substrate};
 
 /// Virtual-time guard (the collective probes are short).
 const SIM_LIMIT: Nanos = Nanos(120_000_000_000);
@@ -140,51 +141,65 @@ pub fn sim_bcast_latency(
     Nanos(end.as_ns() / iters as u64)
 }
 
-fn udp_engine(dev: UdpDevice) -> Fm2Engine<UdpDevice> {
-    Fm2Engine::with_reliability(
-        dev,
-        MachineProfile::ppro200_fm2(),
-        Reliability::Retransmit(RetransmitConfig::default()),
-    )
+/// Rank-wide timing program: a synchronizing barrier, then `iters`
+/// back-to-back barriers or sum-allreduces.
+struct CollLoop {
+    iters: usize,
+    allreduce_bytes: Option<usize>,
+    hosts: Option<Vec<usize>>,
 }
 
-/// Wall-clock mean microseconds per barrier on `n` loopback-UDP nodes.
-pub fn udp_barrier_latency_us(n: usize, iters: usize) -> f64 {
-    udp_coll_latency_us(n, iters, None)
-}
+impl NodeProgram for CollLoop {
+    type Out = f64;
 
-/// Wall-clock mean microseconds per `bytes`-sized sum-allreduce on `n`
-/// loopback-UDP nodes.
-pub fn udp_allreduce_latency_us(n: usize, bytes: usize, iters: usize) -> f64 {
-    assert_eq!(bytes % 8, 0, "f64 reduction payload");
-    udp_coll_latency_us(n, iters, Some(bytes))
-}
-
-fn udp_coll_latency_us(n: usize, iters: usize, allreduce_bytes: Option<usize>) -> f64 {
-    let timed: Rc<Cell<f64>> = Rc::default();
-    {
-        let timed = Rc::clone(&timed);
-        let out = UdpCluster::run(n, UdpConfig::default(), move |_node, dev| {
-            let fm = udp_engine(dev);
-            let mut mpi = Mpi2::new(fm.clone());
-            mpi.barrier(); // synchronized start
-            let t = Instant::now();
-            for _ in 0..iters {
-                match allreduce_bytes {
-                    None => mpi.barrier(),
-                    Some(bytes) => {
-                        let contrib = vec![0u8; bytes]; // all-zero f64s
-                        let _ = mpi.allreduce(&contrib, ReduceOp::SumF64);
-                    }
+    fn run<D: NetDevice + 'static>(&self, _rank: usize, fm: &Fm2Engine<D>) -> f64 {
+        let mut mpi = Mpi2::new(fm.clone());
+        mpi.set_coll_hosts(self.hosts.clone());
+        mpi.barrier(); // synchronized start
+        let t = Instant::now();
+        for _ in 0..self.iters {
+            match self.allreduce_bytes {
+                None => mpi.barrier(),
+                Some(bytes) => {
+                    let contrib = vec![0u8; bytes]; // all-zero f64s
+                    let _ = mpi.allreduce(&contrib, ReduceOp::SumF64);
                 }
             }
-            let us = t.elapsed().as_secs_f64() * 1e6 / iters.max(1) as f64;
-            crate::udp::linger(&fm);
-            us
-        });
-        timed.set(out[0]);
+        }
+        let us = t.elapsed().as_secs_f64() * 1e6 / self.iters.max(1) as f64;
+        fm2_drain_quiet(fm, || mpi.progress());
+        us
     }
-    timed.get()
+}
+
+/// Wall-clock mean microseconds per collective on `n` ranks of `sub`
+/// (rank 0's clock). `allreduce_bytes: None` times barriers, `Some(b)`
+/// times `b`-byte sum-allreduces. `hier` selects the locality-aware
+/// two-level schedules over the routed substrate's host map; flat runs
+/// the placement-blind ones over the identical transport.
+pub fn coll_latency_us(
+    sub: &Substrate,
+    n: usize,
+    iters: usize,
+    allreduce_bytes: Option<usize>,
+    hier: bool,
+) -> f64 {
+    if let Some(bytes) = allreduce_bytes {
+        assert_eq!(bytes % 8, 0, "f64 reduction payload");
+    }
+    let hosts = match sub {
+        Substrate::Routed { hosts, .. } => hier.then(|| hosts.clone()),
+        _ => {
+            assert!(!hier, "hierarchical schedules need a host map");
+            None
+        }
+    };
+    let program = CollLoop {
+        iters,
+        allreduce_bytes,
+        hosts,
+    };
+    sub.run(n, &program)[0]
 }
 
 #[cfg(test)]
@@ -210,6 +225,24 @@ mod tests {
         // latencies (~17 us each in the model), far under a millisecond.
         assert!(l.as_ns() > 10_000, "{l}");
         assert!(l.as_ns() < 1_000_000, "{l}");
+    }
+
+    #[test]
+    fn wall_clock_probes_return_sane_microseconds() {
+        // In-test clusters stay small: 4 ranks, or 2 hosts x 2 ranks.
+        let routed = Substrate::Routed {
+            hosts: crate::substrate::block_hosts(2, 2),
+            retransmit: fm_core::RetransmitConfig::adaptive(),
+        };
+        let shm = Substrate::Shm {
+            slots: crate::substrate::SHM_DEPTH,
+        };
+        for (sub, hier) in [(&shm, false), (&routed, false), (&routed, true)] {
+            let bar = coll_latency_us(sub, 4, 16, None, hier);
+            let ar = coll_latency_us(sub, 4, 16, Some(16), hier);
+            assert!(bar > 0.0 && bar < 1e6, "{} barrier {bar} us", sub.name());
+            assert!(ar > 0.0 && ar < 1e6, "{} allreduce {ar} us", sub.name());
+        }
     }
 
     #[test]

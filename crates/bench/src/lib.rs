@@ -8,11 +8,11 @@
 //! Most measurements run on the discrete-event simulator
 //! ([`myrinet_sim`]), in *virtual* time: the numbers are properties of the
 //! modeled 1998 hardware, not of the machine running the bench. The
-//! [`udp`], [`shm`], and [`routed`] modules are the exception — real
-//! wall-clock probes over the `fm-udp` loopback transport, the `fm-shm`
-//! mapped-ring transport, and the locality-split composite of the two,
-//! for calibrating what the software stack costs on the machine
-//! actually running it.
+//! probes built on [`substrate::Substrate`] are the exception — real
+//! wall-clock measurements over the in-process thread mesh, the `fm-shm`
+//! mapped rings, loopback `fm-udp`, or the locality-split composite of
+//! the last two, for calibrating what the software stack costs on the
+//! machine actually running it.
 
 #![forbid(unsafe_code)]
 
@@ -20,24 +20,20 @@ pub mod collectives;
 pub mod harness;
 pub mod onesided;
 pub mod report;
-pub mod routed;
-pub mod shm;
+pub mod substrate;
 pub mod udp;
 pub mod workload;
 
 pub use collectives::{
-    sim_allreduce_latency, sim_barrier_latency, sim_bcast_latency, udp_allreduce_latency_us,
-    udp_barrier_latency_us,
+    coll_latency_us, sim_allreduce_latency, sim_barrier_latency, sim_bcast_latency,
 };
 pub use harness::*;
 pub use onesided::{
-    crossover_bytes, put_crossover, shm_put_stream, sim_put_stream, udp_put_stream, CrossoverRow,
-    PutMode,
+    crossover_bytes, put_crossover, put_stream, sim_put_stream, CrossoverRow, PutMode,
 };
 pub use report::*;
-pub use routed::{block_hosts, routed_coll_latency_us};
-pub use shm::{
-    shm_allreduce_latency_us, shm_barrier_latency_us, shm_latency_dist, shm_stream_dist,
+pub use substrate::{
+    block_hosts, latency_dist, stream_dist, NodeProgram, Substrate, SHM_DEPTH, SHM_STREAM_DEPTH,
 };
-pub use udp::{udp_churn_dist, udp_latency_dist, udp_stream_dist, ChurnDist};
-pub use workload::{sim_workload_dist, udp_workload_dist, WorkloadDist};
+pub use udp::{udp_churn_dist, ChurnDist};
+pub use workload::{lossy_udp, sim_workload_dist, workload_dist, WorkloadDist};

@@ -13,25 +13,21 @@
 //! `*_rndv_*` headlines the CI gate watches.
 //!
 //! The simulator probe runs in virtual time against the modeled 1998
-//! hardware; the `shm` and `udp` probes are wall-clock mirrors on this
-//! machine, exactly like the two-sided probes in [`crate::shm`] and
-//! [`crate::udp`].
+//! hardware; [`put_stream`] is its wall-clock mirror on any
+//! [`Substrate`], exactly like the two-sided probes in
+//! [`crate::substrate`].
 
 use std::cell::Cell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use fm_core::{
-    Fm2Engine, Onesided, OnesidedConfig, OsPort, RegionHandle, Reliability, RetransmitConfig,
-    SimDevice,
-};
+use fm_core::blocking::fm2_drain_quiet;
+use fm_core::{Fm2Engine, NetDevice, Onesided, OnesidedConfig, OsPort, RegionHandle, SimDevice};
 use fm_model::{MachineProfile, Nanos};
-use fm_shm::{ShmCluster, ShmConfig, ShmDevice};
-use fm_udp::{UdpCluster, UdpConfig, UdpDevice};
 use myrinet_sim::{NodeId, Simulation, StepOutcome, Topology};
 
 use crate::harness::StreamResult;
+use crate::substrate::{NodeProgram, Substrate};
 
 /// Outstanding puts kept in flight: enough to hide the RTS/CTS round
 /// trips behind the previous transfers' DATA streams.
@@ -218,7 +214,7 @@ pub fn sim_put_stream(
 /// Shared initiator program for the threaded substrates: pipeline the
 /// puts, then plant the sentinel byte so the target knows to exit.
 /// Returns elapsed wall-clock nanoseconds for the `count` payload puts.
-fn run_initiator<D: fm_core::NetDevice>(
+fn run_initiator<D: NetDevice>(
     fm: &Fm2Engine<D>,
     os: &mut Onesided<D>,
     size: usize,
@@ -263,11 +259,7 @@ fn run_initiator<D: fm_core::NetDevice>(
 
 /// Shared target program: pump until the sentinel byte lands, then
 /// report engine-level copied bytes (the staging-copy evidence).
-fn run_target<D: fm_core::NetDevice>(
-    fm: &Fm2Engine<D>,
-    os: &mut Onesided<D>,
-    geo: &Geometry,
-) -> u64 {
+fn run_target<D: NetDevice>(fm: &Fm2Engine<D>, os: &mut Onesided<D>, geo: &Geometry) -> u64 {
     let port = os.port();
     let h = arena_handle();
     let deadline = Instant::now() + Duration::from_secs(60);
@@ -286,76 +278,49 @@ fn run_target<D: fm_core::NetDevice>(
     fm.stats().bytes_copied
 }
 
-/// A probe-unique shared-memory segment config (same disambiguation
-/// scheme as the two-sided shm probes, separate counter).
-fn shm_probe_cfg(slots: u32) -> ShmConfig {
-    static PROBE: AtomicU64 = AtomicU64::new(0);
-    let n = PROBE.fetch_add(1, Ordering::Relaxed);
-    ShmConfig {
-        run_id: format!("os-bench{}-{n}", std::process::id()),
-        slots,
-        ..ShmConfig::default()
-    }
+/// Forced-`mode` put stream, rank 0 → rank 1: rank 0 returns its
+/// elapsed nanoseconds, rank 1 its engine-level copied bytes.
+struct PutStream {
+    size: usize,
+    count: usize,
+    mode: PutMode,
+    geo: Geometry,
 }
 
-/// Ring depth for the shm one-sided probes (matches the two-sided
-/// streaming probe: deep enough that a scheduler swap drains a full
-/// credit window).
-const SHM_DEPTH: u32 = 512;
+impl NodeProgram for PutStream {
+    type Out = u64;
 
-/// Wall-clock forced-`mode` put stream over the `fm-shm` mapped rings.
-pub fn shm_put_stream(size: usize, count: usize, mode: PutMode) -> StreamResult {
-    let geo = geometry(size);
-    let mut out = ShmCluster::run(2, shm_probe_cfg(SHM_DEPTH), |node, dev: ShmDevice| {
-        let mut profile = MachineProfile::ppro200_fm2();
-        profile.fm.credits_per_peer = SHM_DEPTH;
-        let fm = Fm2Engine::new(dev, profile);
-        let mut os = Onesided::new(&fm, mode_cfg(mode, geo.arena));
-        os.register(0, geo.arena).expect("arena");
-        if node == 0 {
-            run_initiator(&fm, &mut os, size, count, &geo)
+    fn run<D: NetDevice + 'static>(&self, rank: usize, fm: &Fm2Engine<D>) -> u64 {
+        let mut os = Onesided::new(fm, mode_cfg(self.mode, self.geo.arena));
+        os.register(0, self.geo.arena).expect("arena");
+        let r = if rank == 0 {
+            run_initiator(fm, &mut os, self.size, self.count, &self.geo)
         } else {
-            run_target(&fm, &mut os, &geo)
-        }
-    });
-    let copied = out.swap_remove(1);
-    let elapsed = out.swap_remove(0);
-    StreamResult {
-        bytes: (size * count) as u64,
-        elapsed: Nanos(elapsed),
-        unexpected: 0,
-        recv_copied: copied,
-    }
-}
-
-/// Wall-clock forced-`mode` put stream over real loopback UDP with the
-/// retransmission sublayer (rendezvous DATA segments ride the same
-/// go-back-N machinery as every other packet).
-pub fn udp_put_stream(size: usize, count: usize, mode: PutMode) -> StreamResult {
-    let geo = geometry(size);
-    let mut out = UdpCluster::run(2, UdpConfig::default(), |node, dev: UdpDevice| {
-        let fm = Fm2Engine::with_reliability(
-            dev,
-            MachineProfile::ppro200_fm2(),
-            Reliability::Retransmit(RetransmitConfig::default()),
-        );
-        let mut os = Onesided::new(&fm, mode_cfg(mode, geo.arena));
-        os.register(0, geo.arena).expect("arena");
-        let r = if node == 0 {
-            run_initiator(&fm, &mut os, size, count, &geo)
-        } else {
-            run_target(&fm, &mut os, &geo)
+            run_target(fm, &mut os, &self.geo)
         };
-        crate::udp::linger(&fm);
+        fm2_drain_quiet(fm, || {
+            os.progress();
+        });
         r
-    });
-    let copied = out.swap_remove(1);
-    let elapsed = out.swap_remove(0);
+    }
+}
+
+/// Wall-clock forced-`mode` put stream on `sub`. On a lossy substrate,
+/// rendezvous DATA segments ride the same go-back-N machinery as every
+/// other packet.
+pub fn put_stream(sub: &Substrate, size: usize, count: usize, mode: PutMode) -> StreamResult {
+    let program = PutStream {
+        size,
+        count,
+        mode,
+        geo: geometry(size),
+    };
+    let out = sub.run(2, &program);
     StreamResult {
         bytes: (size * count) as u64,
-        elapsed: Nanos(elapsed),
+        elapsed: Nanos(out[0]),
         unexpected: 0,
-        recv_copied: copied,
+        recv_copied: out[1],
     }
 }
 
@@ -435,15 +400,14 @@ mod tests {
     }
 
     #[test]
-    fn shm_put_probe_measures_real_time() {
-        let r = shm_put_stream(16 * 1024, 16, PutMode::Rendezvous);
+    fn wall_clock_put_probe_measures_real_time() {
+        let shm = Substrate::Shm {
+            slots: crate::substrate::SHM_STREAM_DEPTH,
+        };
+        let r = put_stream(&shm, 16 * 1024, 16, PutMode::Rendezvous);
         assert_eq!(r.bytes, 16 * 1024 * 16);
         assert!(r.bandwidth().as_mbps() > 0.0);
-    }
-
-    #[test]
-    fn udp_put_probe_measures_real_time() {
-        let r = udp_put_stream(4 * 1024, 16, PutMode::Eager);
+        let r = put_stream(&Substrate::udp(), 4 * 1024, 16, PutMode::Eager);
         assert_eq!(r.bytes, 4 * 1024 * 16);
         assert!(r.bandwidth().as_mbps() > 0.0);
     }

@@ -1,185 +1,21 @@
-//! Wall-clock measurement programs over the real UDP transport.
+//! Kill/restart churn probe over real loopback UDP.
 //!
-//! Mirror images of the virtual-time probes in [`crate::harness`], but
-//! the numbers are *real nanoseconds* on *this machine's* loopback: two
-//! OS threads, two kernel sockets, the full FM 2.x engine with the
-//! retransmission sublayer (mandatory over a lossy device) in between.
-//! They share the [`LatencyDist`] / [`StreamDist`] result shapes with
-//! the simulator probes so the same reporting works on both.
-//!
-//! These are calibration probes, not rigorous benchmarks: loopback UDP
-//! says nothing about a real network, but it pins down what the *stack*
-//! costs per message when the wire is nearly free, which is exactly the
-//! software-overhead lens of the paper.
+//! The one wall-clock probe that cannot run on a
+//! [`crate::substrate::Substrate`]: it kills a node mid-run and rebuilds
+//! its device under a bumped epoch with [`fm_udp::restart_node`], so it
+//! wires its two nodes by hand.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use fm_core::blocking::{fm2_send, fm2_wait_until};
+use fm_core::blocking::fm2_send;
 use fm_core::packet::HandlerId;
 use fm_core::{Fm2Engine, FmStream, LogHistogram, Reliability, RetransmitConfig};
-use fm_model::{MachineProfile, Nanos};
-use fm_udp::{UdpCluster, UdpConfig, UdpDevice};
-
-use crate::harness::{LatencyDist, StreamDist, StreamResult};
+use fm_model::MachineProfile;
+use fm_udp::{UdpConfig, UdpDevice};
 
 const PING: HandlerId = HandlerId(1);
-const PONG: HandlerId = HandlerId(2);
-
-fn engine(dev: UdpDevice) -> Fm2Engine<UdpDevice> {
-    Fm2Engine::with_reliability(
-        dev,
-        MachineProfile::ppro200_fm2(),
-        Reliability::Retransmit(RetransmitConfig::default()),
-    )
-}
-
-/// Drain the tail of the ack conversation so the peer is never stranded
-/// waiting on a retransmission; capped so a dead peer cannot wedge us.
-pub(crate) fn linger(fm: &Fm2Engine<UdpDevice>) {
-    let quiet_for = Duration::from_millis(50);
-    let cap = Instant::now() + Duration::from_secs(5);
-    let mut quiet_since = Instant::now();
-    while Instant::now() < cap {
-        if fm.extract_all() > 0 {
-            quiet_since = Instant::now();
-        }
-        fm.progress();
-        if fm.unacked_packets() == 0 && quiet_since.elapsed() >= quiet_for {
-            return;
-        }
-        std::thread::yield_now();
-    }
-}
-
-/// One-way latency over real loopback UDP: half the measured wall-clock
-/// round trip, `rounds` samples, with the per-round distribution.
-/// `drop_outbound` injects seeded datagram loss (0.0 for calibration).
-pub fn udp_latency_dist(size: usize, rounds: usize, drop_outbound: f64) -> LatencyDist {
-    let cfg = UdpConfig {
-        drop_outbound,
-        ..UdpConfig::default()
-    };
-    let size = size.max(1);
-    let mut out = UdpCluster::run(2, cfg, |node, dev| {
-        let fm = engine(dev);
-        if node == 0 {
-            let hist = Rc::new(RefCell::new(LogHistogram::new()));
-            let pongs: Rc<Cell<usize>> = Rc::default();
-            {
-                let pongs = Rc::clone(&pongs);
-                fm.set_handler(PONG, move |stream: FmStream, _| {
-                    let pongs = Rc::clone(&pongs);
-                    async move {
-                        stream.skip(stream.msg_len()).await;
-                        pongs.set(pongs.get() + 1);
-                    }
-                });
-            }
-            let data = vec![7u8; size];
-            let started = Instant::now();
-            for round in 0..rounds {
-                let t0 = Instant::now();
-                fm2_send(&fm, 1, PING, &[&data]);
-                fm2_wait_until(&fm, || pongs.get() == round + 1);
-                hist.borrow_mut().record(t0.elapsed().as_nanos() as u64 / 2);
-            }
-            let total = started.elapsed();
-            linger(&fm);
-            let one_way_ns = hist.borrow().clone();
-            Some(LatencyDist {
-                mean: Nanos(total.as_nanos() as u64 / (2 * rounds as u64)),
-                one_way_ns,
-            })
-        } else {
-            let echoed: Rc<Cell<usize>> = Rc::default();
-            {
-                let echoed = Rc::clone(&echoed);
-                let fm_h = fm.clone();
-                fm.set_handler(PING, move |stream: FmStream, src| {
-                    let echoed = Rc::clone(&echoed);
-                    let fm = fm_h.clone();
-                    async move {
-                        let msg = stream.receive_vec(stream.msg_len()).await;
-                        fm.send_from_handler(src, PONG, msg);
-                        echoed.set(echoed.get() + 1);
-                    }
-                });
-            }
-            fm2_wait_until(&fm, || echoed.get() == rounds);
-            linger(&fm);
-            None
-        }
-    });
-    out.swap_remove(0).expect("node 0 returns the distribution")
-}
-
-/// Stream `count` `size`-byte messages through real loopback UDP and
-/// measure delivered wall-clock bandwidth plus the per-message
-/// distribution. The sender only finishes once every packet is
-/// *acknowledged*, so in the lossy case the time covers confirmed
-/// delivery, retransmissions included.
-pub fn udp_stream_dist(size: usize, count: usize, drop_outbound: f64) -> StreamDist {
-    let cfg = UdpConfig {
-        drop_outbound,
-        ..UdpConfig::default()
-    };
-    let size = size.max(1);
-    let mut out = UdpCluster::run(2, cfg, |node, dev| {
-        let fm = engine(dev);
-        if node == 0 {
-            let data = vec![0xCDu8; size];
-            for _ in 0..count {
-                fm2_send(&fm, 1, PING, &[&data]);
-            }
-            fm2_wait_until(&fm, || fm.unacked_packets() == 0);
-            linger(&fm);
-            None
-        } else {
-            let started = Instant::now();
-            let got: Rc<Cell<usize>> = Rc::default();
-            let per_msg = Rc::new(RefCell::new(LogHistogram::new()));
-            let last_done = Rc::new(Cell::new(0u64));
-            {
-                let got = Rc::clone(&got);
-                let per_msg = Rc::clone(&per_msg);
-                let last_done = Rc::clone(&last_done);
-                fm.set_handler(PING, move |stream: FmStream, _| {
-                    let got = Rc::clone(&got);
-                    let per_msg = Rc::clone(&per_msg);
-                    let last_done = Rc::clone(&last_done);
-                    async move {
-                        let msg = stream.receive_vec(stream.msg_len()).await;
-                        debug_assert_eq!(msg.len(), size);
-                        let t = started.elapsed().as_nanos() as u64;
-                        let gap = t - last_done.get();
-                        last_done.set(t);
-                        // KB/s per message from the inter-completion gap.
-                        if let Some(kbps) = (size as u64 * 1_000_000).checked_div(gap) {
-                            per_msg.borrow_mut().record(kbps);
-                        }
-                        got.set(got.get() + 1);
-                    }
-                });
-            }
-            fm2_wait_until(&fm, || got.get() == count);
-            let elapsed = Nanos(started.elapsed().as_nanos() as u64);
-            linger(&fm);
-            let per_message_kbps = per_msg.borrow().clone();
-            Some(StreamDist {
-                result: StreamResult {
-                    bytes: (size * count) as u64,
-                    elapsed,
-                    unexpected: 0,
-                    recv_copied: fm.stats().bytes_copied,
-                },
-                per_message_kbps,
-            })
-        }
-    });
-    out.swap_remove(1).expect("node 1 returns the distribution")
-}
 
 /// Result of the churn probe: how fast the membership layer readmits a
 /// restarted node, and what the reliability sublayer paid during the
@@ -336,32 +172,6 @@ pub fn udp_churn_dist(cycles: usize) -> ChurnDist {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn udp_latency_probe_measures_real_time() {
-        let d = udp_latency_dist(16, 30, 0.0);
-        assert_eq!(d.one_way_ns.count(), 30, "one sample per round");
-        // Loopback UDP through the full stack: more than a microsecond,
-        // far less than 10 ms one-way.
-        assert!(d.mean.as_ns() > 1_000, "mean = {}", d.mean);
-        assert!(d.mean.as_ns() < 10_000_000, "mean = {}", d.mean);
-        assert!(d.one_way_ns.p99() >= d.one_way_ns.p50());
-    }
-
-    #[test]
-    fn udp_stream_probe_delivers_everything() {
-        let d = udp_stream_dist(1024, 200, 0.0);
-        assert_eq!(d.result.bytes, 1024 * 200);
-        assert!(d.result.bandwidth().as_mbps() > 0.0, "nonzero bandwidth");
-        assert!(d.per_message_kbps.count() >= 100);
-    }
-
-    #[test]
-    fn udp_stream_survives_injected_loss() {
-        let d = udp_stream_dist(512, 100, 0.02);
-        assert_eq!(d.result.bytes, 512 * 100);
-        assert!(d.result.bandwidth().as_mbps() > 0.0);
-    }
 
     #[test]
     fn udp_churn_probe_measures_recovery() {

@@ -1,14 +1,16 @@
 //! Workload-driven soak probes: adversarial traffic shapes from
-//! [`fm_model::workload`] driven over both transports, with one-way
-//! latency distributions (p50/p99/p999) as the result.
+//! [`fm_model::workload`] driven over the simulator and the wall-clock
+//! substrates, with one-way latency distributions (p50/p99/p999) as the
+//! result.
 //!
 //! Two drivers share one [`WorkloadSpec`]:
 //!
 //! * [`sim_workload_dist`] — an n-node lossy myrinet-sim cluster in
 //!   deterministic virtual time. Same spec + same seed ⇒ bit-identical
 //!   histograms, which is what the seed-sweep determinism tests pin.
-//! * [`udp_workload_dist`] — n OS threads over real loopback UDP sockets
-//!   with seeded datagram loss; wall-clock nanoseconds.
+//! * [`workload_dist`] — n OS threads on a [`Substrate`], typically
+//!   real loopback UDP sockets with seeded datagram loss
+//!   ([`lossy_udp`]); wall-clock nanoseconds.
 //!
 //! Every message carries a [`STAMP_BYTES`]-byte header (send timestamp +
 //! per-sender sequence) so the receiving handler measures one-way latency
@@ -28,9 +30,11 @@ use fm_core::{
 };
 use fm_model::workload::{decode_stamp, encode_stamp, WorkloadSpec, STAMP_BYTES};
 use fm_model::{MachineProfile, Nanos};
-use fm_udp::{UdpCluster, UdpConfig};
+use fm_udp::UdpConfig;
 use myrinet_sim::fault::FaultModel;
 use myrinet_sim::{NodeId, Simulation, StepOutcome, Topology};
+
+use crate::substrate::{NodeProgram, Substrate};
 
 /// Handler id carrying workload traffic.
 const WORK: HandlerId = HandlerId(41);
@@ -196,22 +200,19 @@ pub fn sim_workload_dist(spec: &WorkloadSpec, drop_p: f64) -> WorkloadDist {
     }
 }
 
-/// Drive `spec` over `spec.ranks` OS threads and real loopback UDP
-/// sockets, with `drop_outbound` seeded datagram loss. Wall-clock.
-///
-/// A paused rank genuinely sleeps — its engine sends no heartbeats and
-/// acks nothing, exactly what a stalled process looks like to its peers.
-pub fn udp_workload_dist(spec: &WorkloadSpec, drop_outbound: f64) -> WorkloadDist {
-    let cfg = UdpConfig {
-        drop_outbound,
-        drop_seed: spec.seed,
-        ..UdpConfig::default()
-    };
-    let expected = spec.expected_inbound();
-    let expected_total = spec.total_msgs();
-    let epoch = Instant::now();
-    let out = UdpCluster::run(spec.ranks, cfg, |me, dev| {
-        let fm = Fm2Engine::with_reliability(dev, MachineProfile::ppro200_fm2(), adaptive());
+/// One rank of a workload run: its schedule, paced by the spec's
+/// straggler pause, then wait for its expected inbound count.
+struct WorkloadRank<'a> {
+    spec: &'a WorkloadSpec,
+    expected: Vec<u64>,
+    epoch: Instant,
+}
+
+impl NodeProgram for WorkloadRank<'_> {
+    type Out = (LogHistogram, u64, u64);
+
+    fn run<D: NetDevice + 'static>(&self, me: usize, fm: &Fm2Engine<D>) -> Self::Out {
+        let (spec, epoch) = (self.spec, self.epoch);
         let hist = Rc::new(RefCell::new(LogHistogram::new()));
         let got: Rc<Cell<u64>> = Rc::default();
         {
@@ -238,15 +239,28 @@ pub fn udp_workload_dist(spec: &WorkloadSpec, drop_outbound: f64) -> WorkloadDis
                 }
             }
             encode_stamp(&mut payload, epoch.elapsed().as_nanos() as u64, i as u32);
-            fm2_send(&fm, dst, WORK, &[&payload]);
+            fm2_send(fm, dst, WORK, &[&payload]);
             fm.progress(); // keep heartbeats and retransmit timers serviced
         }
-        fm2_wait_until(&fm, || got.get() >= expected[me]);
-        crate::udp::linger(&fm);
+        fm2_wait_until(fm, || got.get() >= self.expected[me]);
         let local = hist.borrow().clone();
         (local, got.get(), fm.stats().retransmissions)
-    });
-    let elapsed = Nanos(epoch.elapsed().as_nanos() as u64);
+    }
+}
+
+/// Drive `spec` over `spec.ranks` OS threads on `sub`. Wall-clock; the
+/// loss (if any) is the substrate's own — seeded datagram drops on UDP.
+///
+/// A paused rank genuinely sleeps — its engine sends no heartbeats and
+/// acks nothing, exactly what a stalled process looks like to its peers.
+pub fn workload_dist(sub: &Substrate, spec: &WorkloadSpec) -> WorkloadDist {
+    let program = WorkloadRank {
+        spec,
+        expected: spec.expected_inbound(),
+        epoch: Instant::now(),
+    };
+    let out = sub.run(spec.ranks, &program);
+    let elapsed = Nanos(program.epoch.elapsed().as_nanos() as u64);
     let mut latency_ns = LogHistogram::new();
     let mut delivered = 0u64;
     let mut retransmissions = 0u64;
@@ -260,8 +274,21 @@ pub fn udp_workload_dist(spec: &WorkloadSpec, drop_outbound: f64) -> WorkloadDis
         latency_ns,
         elapsed,
         delivered,
-        lost: expected_total - delivered,
+        lost: spec.total_msgs() - delivered,
         retransmissions,
+    }
+}
+
+/// The UDP substrate the soak batteries run on: `drop_outbound` datagram
+/// loss seeded by `seed`, under the adaptive retransmission sublayer.
+pub fn lossy_udp(drop_outbound: f64, seed: u64) -> Substrate {
+    Substrate::Udp {
+        cfg: UdpConfig {
+            drop_outbound,
+            drop_seed: seed,
+            ..UdpConfig::default()
+        },
+        retransmit: RetransmitConfig::adaptive(),
     }
 }
 

@@ -10,25 +10,25 @@
 //! what the rank just put, and landing verification of everything the
 //! upstream neighbor wrote into this rank's arena. Each rank renders its
 //! observations as a deterministic `Vec<String>`, and the battery
-//! requires rank-for-rank equality across four substrates — the virtual
-//! simulator, the in-process threaded mesh, real 4-process loopback UDP
-//! (with the retransmit sublayer), and `fm-shm` mapped rings — plus
-//! equality with the script's computed expectation. Transports may
-//! change how bytes travel, never what a one-sided op does.
+//! requires rank-for-rank equality across five substrates — the virtual
+//! simulator, the in-process threaded mesh, real 4-rank loopback UDP
+//! (with the retransmit sublayer), `fm-shm` mapped rings, and the routed
+//! shm + UDP composite — plus equality with the script's computed
+//! expectation. Transports may change how bytes travel, never what a
+//! one-sided op does.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
+use fm_bench::{NodeProgram, Substrate, SHM_STREAM_DEPTH};
+use fm_core::blocking::fm2_drain_quiet;
 use fm_core::{
     Fm2Engine, NetDevice, Onesided, OnesidedConfig, OsPort, OsStatus, OsToken, RegionHandle,
-    Reliability, RetransmitConfig, SimDevice,
+    RetransmitConfig, SimDevice,
 };
 use fm_model::{MachineProfile, Nanos};
-use fm_shm::{ShmCluster, ShmConfig};
-use fm_threaded::ThreadedCluster;
-use fm_udp::{UdpCluster, UdpConfig};
 use myrinet_sim::{NodeId, Simulation, StepOutcome, Topology};
 
 const N: usize = 4;
@@ -351,41 +351,37 @@ fn expected_outputs(rank: usize) -> Vec<String> {
     out
 }
 
-/// Wall-clock driver shared by the threaded, UDP, and shm runs: pump
-/// the script to completion, then keep servicing the engine until the
-/// link has been quiet for a while and nothing is unacknowledged —
-/// peers still mid-script may need our acks and retransmissions.
-fn drive<D: NetDevice>(rank: usize, fm: &Fm2Engine<D>, os: &mut Onesided<D>) -> Vec<String> {
-    let mut script = OsScript::new(rank, os);
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while !script.finished {
-        fm.extract_all();
-        os.progress();
-        script.step();
-        os.progress();
-        assert!(
-            Instant::now() < deadline,
-            "rank {rank} conformance script wedged: pending={} drops={}",
-            script.port.pending_ops(),
-            script.port.protocol_drops(),
-        );
-        std::thread::yield_now();
-    }
-    let quiet_for = Duration::from_millis(100);
-    let cap = Instant::now() + Duration::from_secs(5);
-    let mut quiet_since = Instant::now();
-    while Instant::now() < cap {
-        let moved = fm.extract_all() > 0;
-        os.progress();
-        if moved {
-            quiet_since = Instant::now();
+/// The script as a wall-clock node program: pump it to completion, then
+/// keep servicing the engine and the one-sided port until the link has
+/// been quiet for a while and nothing is unacknowledged — peers still
+/// mid-script may need our acks, retransmissions and queued done flags.
+struct Conformance;
+
+impl NodeProgram for Conformance {
+    type Out = Vec<String>;
+
+    fn run<D: NetDevice + 'static>(&self, rank: usize, fm: &Fm2Engine<D>) -> Vec<String> {
+        let mut os = Onesided::new(fm, script_cfg());
+        let mut script = OsScript::new(rank, &os);
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !script.finished {
+            fm.extract_all();
+            os.progress();
+            script.step();
+            os.progress();
+            assert!(
+                Instant::now() < deadline,
+                "rank {rank} conformance script wedged: pending={} drops={}",
+                script.port.pending_ops(),
+                script.port.protocol_drops(),
+            );
+            std::thread::yield_now();
         }
-        if fm.unacked_packets() == 0 && quiet_since.elapsed() >= quiet_for {
-            break;
-        }
-        std::thread::yield_now();
+        fm2_drain_quiet(fm, || {
+            os.progress();
+        });
+        script.out
     }
-    script.out
 }
 
 /// Virtual-time guard for the simulated run.
@@ -429,39 +425,28 @@ fn sim_outputs() -> Vec<Vec<String>> {
         .collect()
 }
 
-fn threaded_outputs() -> Vec<Vec<String>> {
-    ThreadedCluster::run(N, |rank, dev| {
-        let fm = Fm2Engine::new(dev, MachineProfile::ppro200_fm2());
-        let mut os = Onesided::new(&fm, script_cfg());
-        drive(rank, &fm, &mut os)
-    })
+/// Deep fm-shm rings, as in the streaming probes.
+fn shm() -> Substrate {
+    Substrate::Shm {
+        slots: SHM_STREAM_DEPTH,
+    }
 }
 
-fn udp_outputs() -> Vec<Vec<String>> {
-    UdpCluster::run(N, UdpConfig::default(), |rank, dev| {
-        let fm = Fm2Engine::with_reliability(
-            dev,
-            MachineProfile::ppro200_fm2(),
-            Reliability::Retransmit(RetransmitConfig::default()),
-        );
-        let mut os = Onesided::new(&fm, script_cfg());
-        drive(rank, &fm, &mut os)
-    })
+/// The routed shm + UDP composite over two simulated hosts.
+fn routed() -> Substrate {
+    Substrate::Routed {
+        hosts: vec![0, 0, 1, 1],
+        retransmit: RetransmitConfig::default(),
+    }
 }
 
-fn shm_outputs() -> Vec<Vec<String>> {
-    let cfg = ShmConfig {
-        run_id: format!("os-conf{}", std::process::id()),
-        slots: 512,
-        ..ShmConfig::default()
-    };
-    ShmCluster::run(N, cfg, |rank, dev| {
-        let mut profile = MachineProfile::ppro200_fm2();
-        profile.fm.credits_per_peer = 512;
-        let fm = Fm2Engine::new(dev, profile);
-        let mut os = Onesided::new(&fm, script_cfg());
-        drive(rank, &fm, &mut os)
-    })
+/// Every wall-clock leg.
+fn substrates() -> [Substrate; 4] {
+    [Substrate::Threads, Substrate::udp(), shm(), routed()]
+}
+
+fn outputs(sub: &Substrate) -> Vec<Vec<String>> {
+    sub.run(N, &Conformance)
 }
 
 fn assert_conformant(transport: &str, results: &[Vec<String>]) {
@@ -482,30 +467,32 @@ fn sim_matches_expectation() {
 
 #[test]
 fn threaded_matches_expectation() {
-    assert_conformant("threaded", &threaded_outputs());
+    assert_conformant("threaded", &outputs(&Substrate::Threads));
 }
 
 #[test]
 fn udp_matches_expectation() {
-    assert_conformant("udp", &udp_outputs());
+    assert_conformant("udp", &outputs(&Substrate::udp()));
 }
 
 #[test]
 fn shm_matches_expectation() {
-    assert_conformant("shm", &shm_outputs());
+    assert_conformant("shm", &outputs(&shm()));
+}
+
+#[test]
+fn routed_matches_expectation() {
+    assert_conformant("routed", &outputs(&routed()));
 }
 
 #[test]
 fn all_transports_bit_identical() {
     // The decisive check: rank-for-rank equality of the raw outputs
-    // across all four substrates, not merely each one matching the
+    // across every substrate, not merely each one matching the
     // expectation (pins transport-independence directly, including any
     // formatting the per-transport asserts might normalize away).
     let sim = sim_outputs();
-    let threaded = threaded_outputs();
-    let udp = udp_outputs();
-    let shm = shm_outputs();
-    assert_eq!(sim, threaded, "sim vs threaded diverged");
-    assert_eq!(sim, udp, "sim vs udp diverged");
-    assert_eq!(sim, shm, "sim vs shm diverged");
+    for sub in substrates() {
+        assert_eq!(sim, outputs(&sub), "sim vs {} diverged", sub.name());
+    }
 }

@@ -37,7 +37,6 @@ use crate::buf::{BufPool, PacketBuf};
 use crate::device::NetDevice;
 use crate::error::{FmError, WouldBlock};
 use crate::flow::CreditLedger;
-use crate::fm2::{SinkHandlerFn, SinkMeta};
 use crate::obs::{ObsEvent, ObsSink, SpanKind};
 use crate::packet::{FmPacket, HandlerId, PacketFlags, PacketHeader};
 use crate::reliable::{RecvDecision, Reliability, ReliableState};
@@ -102,12 +101,6 @@ pub struct Fm1Engine<D: NetDevice> {
     profile: MachineProfile,
     stage: Fm1Stage,
     handlers: Vec<Option<Fm1Handler<D>>>,
-    /// Synchronous per-packet sink handlers, indexed like `handlers`. A
-    /// registered sink takes precedence for its id and consumes every
-    /// packet of every message directly from the extract loop — the
-    /// one-sided rendezvous datapath, which bypasses the FM 1.x staging
-    /// assembly entirely (no per-message buffer, no staging copy).
-    sink_handlers: Vec<Option<SinkHandlerFn>>,
     flow: CreditLedger,
     /// Next packet sequence number per destination.
     send_pkt_seq: Vec<u32>,
@@ -178,7 +171,6 @@ impl<D: NetDevice> Fm1Engine<D> {
             profile,
             stage,
             handlers: Vec::new(),
-            sink_handlers: Vec::new(),
             flow: CreditLedger::new(n, profile.fm.credits_per_peer),
             send_pkt_seq: vec![0; n],
             send_msg_seq: vec![0; n],
@@ -260,28 +252,6 @@ impl<D: NetDevice> Fm1Engine<D> {
             self.handlers.resize_with(idx + 1, || None);
         }
         self.handlers[idx] = Some(handler);
-    }
-
-    /// Register a synchronous per-packet **sink** handler under `id`
-    /// (replacing any previous one).
-    ///
-    /// A sink fires once per arriving packet of a message — any size —
-    /// with a zero-copy view of the packet's payload inside the arrival
-    /// frame, bypassing the FM 1.x staging assembly (no per-message
-    /// buffer, no staging copy). The same [`SinkMeta`] contract as
-    /// [`crate::Fm2Engine::set_sink_handler`] applies; a registered sink
-    /// takes precedence over the ordinary handler table for its id.
-    /// Unlike [`Fm1Handler`], sinks do not receive the engine: replies
-    /// must be queued in the layer's own state and flushed by its driver.
-    pub fn set_sink_handler<F>(&mut self, id: HandlerId, f: F)
-    where
-        F: FnMut(usize, SinkMeta, &[u8]) + 'static,
-    {
-        let idx = id.0 as usize;
-        if self.sink_handlers.len() <= idx {
-            self.sink_handlers.resize_with(idx + 1, || None);
-        }
-        self.sink_handlers[idx] = Some(Box::new(f));
     }
 
     /// Account arbitrary host cost (used by layered libraries for their own
@@ -616,10 +586,6 @@ impl<D: NetDevice> Fm1Engine<D> {
 
         // Self-addressed messages first.
         while let Some(pkt) = self.local.pop_front() {
-            if let Some(n) = self.try_dispatch_sink(pkt.header.src as usize, &pkt) {
-                handled += n;
-                continue;
-            }
             handled += self.dispatch_complete(
                 pkt.header.src as usize,
                 pkt.header.handler,
@@ -725,14 +691,6 @@ impl<D: NetDevice> Fm1Engine<D> {
             }
             self.stats.packets_received += 1;
 
-            // Sink path: every packet of the message is consumed in
-            // place, bypassing the staging assembly entirely (the
-            // one-sided rendezvous receive).
-            if let Some(n) = self.try_dispatch_sink(src, &pkt) {
-                handled += n;
-                continue;
-            }
-
             let first = pkt.header.flags.contains(PacketFlags::FIRST);
             let last = pkt.header.flags.contains(PacketFlags::LAST);
             if first && last {
@@ -777,56 +735,6 @@ impl<D: NetDevice> Fm1Engine<D> {
         // Flush deferred handler sends and owed credits.
         self.progress();
         handled
-    }
-
-    /// Dispatch one packet to a registered sink handler. Returns `None`
-    /// when no sink is registered for the packet's id (the caller falls
-    /// through to the assembly path), otherwise `Some(handled)` — 1 on
-    /// the message's last packet, 0 before it.
-    fn try_dispatch_sink(&mut self, src: usize, pkt: &FmPacket) -> Option<usize> {
-        let idx = pkt.header.handler.0 as usize;
-        let mut f = self.sink_handlers.get_mut(idx).and_then(Option::take)?;
-        let first = pkt.header.flags.contains(PacketFlags::FIRST);
-        let last = pkt.header.flags.contains(PacketFlags::LAST);
-        let msg_len = pkt.header.msg_len;
-        if first {
-            self.device
-                .charge(Nanos(self.profile.host.handler_dispatch_ns));
-            self.stats.handlers_run += 1;
-            self.obs_emit(|t, me| {
-                ObsEvent::new(t, me, SpanKind::HandlerStart)
-                    .peer(src as u16)
-                    .handler(pkt.header.handler.0)
-                    .msg_seq(pkt.header.msg_seq)
-                    .bytes(msg_len)
-            });
-        }
-        let meta = SinkMeta {
-            msg_seq: pkt.header.msg_seq,
-            msg_len,
-            first,
-            last,
-        };
-        self.in_extract = true;
-        f(src, meta, &pkt.payload);
-        self.in_extract = false;
-        if self.sink_handlers[idx].is_none() {
-            self.sink_handlers[idx] = Some(f);
-        }
-        if last {
-            self.stats.messages_received += 1;
-            self.stats.bytes_received += msg_len as u64;
-            self.obs_emit(|t, me| {
-                ObsEvent::new(t, me, SpanKind::HandlerEnd)
-                    .peer(src as u16)
-                    .handler(pkt.header.handler.0)
-                    .msg_seq(pkt.header.msg_seq)
-                    .bytes(msg_len)
-            });
-            Some(1)
-        } else {
-            Some(0)
-        }
     }
 
     fn dispatch_complete(

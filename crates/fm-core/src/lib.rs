@@ -92,8 +92,7 @@ pub use fm1::Fm1Engine;
 pub use fm2::{Fm2Engine, Fm2Handle, FmStream, SinkMeta};
 pub use obs::{LogHistogram, ObsEvent, ObsSink, SpanKind};
 pub use onesided::{
-    Fm1Onesided, Onesided, OnesidedConfig, OsCompletion, OsError, OsPort, OsStatus, OsToken,
-    RegionHandle,
+    Onesided, OnesidedConfig, OsCompletion, OsError, OsPort, OsStatus, OsToken, RegionHandle,
 };
 pub use packet::{
     FmPacket, HandlerId, PacketHeader, HEADER_WIRE_BYTES, MAX_FRAME_PAYLOAD, MAX_WIRE_FRAME,

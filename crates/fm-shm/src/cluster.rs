@@ -9,8 +9,9 @@
 //! instead.
 
 use std::io;
-use std::thread;
 use std::time::Duration;
+
+use fm_core::blocking::run_node_threads;
 
 use crate::device::{ShmConfig, ShmDevice};
 
@@ -50,25 +51,9 @@ impl ShmCluster {
         R: Send,
     {
         let devices = shm_cluster(num_nodes, cfg).expect("open shm cluster");
-        let f = &f;
-        thread::scope(|scope| {
-            let handles: Vec<_> = devices
-                .into_iter()
-                .enumerate()
-                .map(|(i, mut dev)| {
-                    thread::Builder::new()
-                        .name(format!("fm-shm-node-{i}"))
-                        .spawn_scoped(scope, move || {
-                            dev.join(DEFAULT_JOIN_TIMEOUT).expect("join barrier");
-                            f(i, dev)
-                        })
-                        .expect("spawn node thread")
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("node thread panicked"))
-                .collect()
+        run_node_threads("fm-shm-node", devices, |i, mut dev| {
+            dev.join(DEFAULT_JOIN_TIMEOUT).expect("join barrier");
+            f(i, dev)
         })
     }
 }

@@ -1,18 +1,18 @@
 //! Spawning a cluster of node threads.
 
-use std::thread;
+use fm_core::blocking::run_node_threads;
 
 use crate::net::ThreadedDevice;
+
+/// Per-link channel capacity, sized comfortably above the FM credit
+/// windows so the transport never binds tighter than FM's own flow
+/// control.
+const LINK_CAPACITY: usize = 128;
 
 /// Runs N node programs on N OS threads connected by a threaded mesh.
 pub struct ThreadedCluster;
 
 impl ThreadedCluster {
-    /// Default per-link channel capacity, sized comfortably above the FM
-    /// credit windows so the transport never binds tighter than FM's own
-    /// flow control.
-    pub const DEFAULT_CAPACITY: usize = 128;
-
     /// Spawn `num_nodes` threads; thread `i` runs `f(i, device_i)`.
     /// Returns every node's result, in node order. Panics in a node thread
     /// propagate.
@@ -24,33 +24,8 @@ impl ThreadedCluster {
         F: Fn(usize, ThreadedDevice) -> R + Send + Sync,
         R: Send,
     {
-        Self::run_with_capacity(num_nodes, Self::DEFAULT_CAPACITY, f)
-    }
-
-    /// [`ThreadedCluster::run`] with an explicit per-link capacity.
-    pub fn run_with_capacity<F, R>(num_nodes: usize, capacity: usize, f: F) -> Vec<R>
-    where
-        F: Fn(usize, ThreadedDevice) -> R + Send + Sync,
-        R: Send,
-    {
-        let devices = ThreadedDevice::mesh(num_nodes, capacity);
-        let f = &f;
-        thread::scope(|scope| {
-            let handles: Vec<_> = devices
-                .into_iter()
-                .enumerate()
-                .map(|(i, dev)| {
-                    thread::Builder::new()
-                        .name(format!("fm-node-{i}"))
-                        .spawn_scoped(scope, move || f(i, dev))
-                        .expect("spawn node thread")
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("node thread panicked"))
-                .collect()
-        })
+        let devices = ThreadedDevice::mesh(num_nodes, LINK_CAPACITY);
+        run_node_threads("fm-node", devices, f)
     }
 }
 

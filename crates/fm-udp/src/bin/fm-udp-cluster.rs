@@ -45,7 +45,7 @@ use std::net::SocketAddr;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use fm_core::blocking::{fm2_send, fm2_wait_until};
+use fm_core::blocking::{fm2_drain_quiet, fm2_send, fm2_wait_until};
 use fm_core::obs::chrome::chrome_trace_json;
 use fm_core::packet::HandlerId;
 use fm_core::{Fm2Engine, LogHistogram, ObsSink, Reliability, RetransmitConfig};
@@ -596,7 +596,11 @@ fn drive_workload<D: fm_core::NetDevice + 'static>(
     let elapsed = started.elapsed();
     workload_active.set(false);
 
-    linger(fm);
+    // A peer still waiting on our last ack (or a retransmit) must not
+    // be abandoned.
+    fm2_drain_quiet(fm, || {
+        fm.progress();
+    });
 
     if let Some(sink) = sink {
         let dir = opts.trace.as_deref().unwrap();
@@ -1131,25 +1135,4 @@ fn realtime_ns() -> u64 {
         .duration_since(UNIX_EPOCH)
         .expect("clock after 1970")
         .as_nanos() as u64
-}
-
-/// Keep the engine progressing until the reliability sublayer has no
-/// unacked packets and the wire has been quiet for a beat, so a peer
-/// still waiting on our last ack (or a retransmit) is not abandoned.
-/// Capped: a vanished peer must not wedge shutdown.
-fn linger<D: fm_core::NetDevice>(fm: &Fm2Engine<D>) {
-    let quiet_for = Duration::from_millis(100);
-    let cap = Instant::now() + Duration::from_secs(5);
-    let mut quiet_since = Instant::now();
-    while Instant::now() < cap {
-        let moved = fm.extract_all() > 0;
-        fm.progress();
-        if moved {
-            quiet_since = Instant::now();
-        }
-        if fm.unacked_packets() == 0 && quiet_since.elapsed() >= quiet_for {
-            return;
-        }
-        std::thread::yield_now();
-    }
 }

@@ -7,7 +7,7 @@
 //!   them), then build a device per node. The devices can be moved onto
 //!   threads; this is how the in-crate tests get a real-socket cluster
 //!   without spawning processes.
-//! * [`UdpCluster::run`] — the [`fm_threaded::ThreadedCluster::run`]
+//! * [`UdpCluster::run`] — the `fm_threaded::ThreadedCluster::run`
 //!   shape over loopback UDP: one OS thread per node, each running the
 //!   join barrier and then the node program. The transport between the
 //!   threads is real datagrams through the kernel, lossy and all.
@@ -17,8 +17,9 @@
 
 use std::io;
 use std::net::UdpSocket;
-use std::thread;
 use std::time::Duration;
+
+use fm_core::blocking::run_node_threads;
 
 use crate::device::{UdpConfig, UdpDevice};
 
@@ -83,25 +84,9 @@ impl UdpCluster {
         R: Send,
     {
         let devices = loopback_cluster(num_nodes, cfg).expect("bind loopback cluster");
-        let f = &f;
-        thread::scope(|scope| {
-            let handles: Vec<_> = devices
-                .into_iter()
-                .enumerate()
-                .map(|(i, mut dev)| {
-                    thread::Builder::new()
-                        .name(format!("fm-udp-node-{i}"))
-                        .spawn_scoped(scope, move || {
-                            dev.join(DEFAULT_JOIN_TIMEOUT).expect("join barrier");
-                            f(i, dev)
-                        })
-                        .expect("spawn node thread")
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("node thread panicked"))
-                .collect()
+        run_node_threads("fm-udp-node", devices, |i, mut dev| {
+            dev.join(DEFAULT_JOIN_TIMEOUT).expect("join barrier");
+            f(i, dev)
         })
     }
 }

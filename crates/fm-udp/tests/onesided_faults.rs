@@ -15,6 +15,7 @@
 
 use std::time::{Duration, Instant};
 
+use fm_core::blocking::fm2_drain_quiet;
 use fm_core::{
     Fm2Engine, Onesided, OnesidedConfig, OsStatus, RegionHandle, Reliability, RetransmitConfig,
 };
@@ -53,25 +54,6 @@ fn engine(dev: UdpDevice) -> Fm2Engine<UdpDevice> {
     )
 }
 
-/// Keep servicing acks and retransmit timers until the link is quiet:
-/// the peer may still need our acks to finish its own drain.
-fn drain(fm: &Fm2Engine<UdpDevice>, os: &mut Onesided<UdpDevice>) {
-    let quiet_for = Duration::from_millis(100);
-    let cap = Instant::now() + Duration::from_secs(5);
-    let mut quiet_since = Instant::now();
-    while Instant::now() < cap {
-        let moved = fm.extract_all() > 0;
-        os.progress();
-        if moved {
-            quiet_since = Instant::now();
-        }
-        if fm.unacked_packets() == 0 && quiet_since.elapsed() >= quiet_for {
-            return;
-        }
-        std::thread::yield_now();
-    }
-}
-
 #[test]
 fn rendezvous_survives_seeded_datagram_loss_without_corruption() {
     let cfg = UdpConfig {
@@ -96,7 +78,10 @@ fn rendezvous_survives_seeded_datagram_loss_without_corruption() {
                 assert!(Instant::now() < deadline, "lossy target wedged");
                 std::thread::yield_now();
             }
-            drain(&fm, &mut os);
+            // The initiator may still need our acks to finish.
+            fm2_drain_quiet(&fm, || {
+                os.progress();
+            });
             assert!(fm.take_errors().is_empty(), "target engine errors");
             return;
         }
@@ -173,7 +158,9 @@ fn rendezvous_survives_seeded_datagram_loss_without_corruption() {
             assert!(Instant::now() < deadline, "done flag wedged");
             std::thread::yield_now();
         }
-        drain(&fm, &mut os);
+        fm2_drain_quiet(&fm, || {
+            os.progress();
+        });
         assert!(fm.take_errors().is_empty(), "initiator engine errors");
     });
 }

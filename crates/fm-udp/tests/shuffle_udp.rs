@@ -6,30 +6,11 @@
 //! asserts per-key ordering and epoch completeness, and this test pins
 //! the cross-rank conservation law — zero FM-level loss.
 
-use std::time::{Duration, Instant};
-
+use fm_core::blocking::fm2_drain_quiet;
 use fm_core::{Fm2Engine, Reliability, RetransmitConfig};
 use fm_model::MachineProfile;
-use fm_udp::{UdpCluster, UdpConfig, UdpDevice};
+use fm_udp::{UdpCluster, UdpConfig};
 use mpi_fm::{run_shuffle, Mpi, Mpi2, ShuffleSpec};
-
-/// Service acks and retransmit timers after the shuffle so a peer whose
-/// final barrier (or our ack to it) was dropped can recover; capped.
-fn drain(mpi: &mut Mpi2<UdpDevice>) {
-    let quiet_for = Duration::from_millis(100);
-    let cap = Instant::now() + Duration::from_secs(5);
-    let mut quiet_since = Instant::now();
-    while Instant::now() < cap {
-        if mpi.fm().extract_all() > 0 {
-            quiet_since = Instant::now();
-        }
-        mpi.progress();
-        if mpi.fm().unacked_packets() == 0 && quiet_since.elapsed() >= quiet_for {
-            return;
-        }
-        std::thread::yield_now();
-    }
-}
 
 #[test]
 fn shuffle_survives_one_percent_udp_drop() {
@@ -52,9 +33,11 @@ fn shuffle_survives_one_percent_udp_drop() {
             MachineProfile::ppro200_fm2(),
             Reliability::Retransmit(RetransmitConfig::adaptive()),
         );
-        let mut mpi = Mpi2::new(fm);
+        let mut mpi = Mpi2::new(fm.clone());
         let report = run_shuffle(&mut mpi, spec);
-        drain(&mut mpi);
+        // A peer whose final barrier (or our ack to it) was dropped
+        // needs our progress to recover.
+        fm2_drain_quiet(&fm, || mpi.progress());
         let retx = mpi.fm().stats().retransmissions;
         let errors = mpi.fm().take_errors().len();
         (report, retx, errors)

@@ -124,21 +124,6 @@ fn collectives_on_single_rank_are_trivial() {
 }
 
 #[test]
-fn conformance_script_matches_model_on_threads() {
-    // The shared cross-transport script (large flavor: exercises the
-    // pipelined bcast and ring allreduce paths) must reproduce the pure
-    // model bit for bit on the threaded transport.
-    let outputs = ThreadedCluster::run(4, |_, dev| {
-        let mut mpi = Mpi2::new(Fm2Engine::new(dev, MachineProfile::ppro200_fm2()));
-        mpi_fm::testutil::ScriptRunner::run_blocking(&mut mpi, true)
-    });
-    for (rank, got) in outputs.iter().enumerate() {
-        let want = mpi_fm::testutil::expected_outputs(rank, 4, true);
-        assert_eq!(*got, want, "rank {rank}");
-    }
-}
-
-#[test]
 fn explicit_bcast_algorithms_agree() {
     use mpi_fm::{BcastAlgo, BcastOp};
     const LEN: usize = 96 * 1024;
